@@ -18,20 +18,23 @@ layout named in PAPERS.md) rather than a dict of ``Node`` objects:
   view — one tuple of neighbor ids per node — that is built lazily on
   first read and then *patched* with the dirty range of the edge log
   (and edited in place by removals), so :meth:`csr` is O(1) amortized
-  instead of an O(V+E) rebuild per snapshot.
+  instead of an O(V+E) rebuild per snapshot.  Once built, the views
+  are the authority: :meth:`revive_nodes` (ZoomIn, and ZoomOut's meta
+  nodes) writes edges into them directly and never into the log.
 
 ``Node`` objects still exist, but as lazily-materialized facades whose
 attribute reads and writes go straight through to the arena columns —
 the public API, JSONL serialization, and store round-trips are
 unchanged.  Dead rows (removed nodes) keep their column values so
-zoom fragments can restore nodes by id; node ids are never reused.
+zoom fragments can restore nodes by id; an id never names a different
+node (a zoomer brings back the same meta node for the same invocation).
 """
 
 from __future__ import annotations
 
 import warnings
 from array import array
-from itertools import repeat as _repeat
+from itertools import chain as _chain, repeat as _repeat
 from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
@@ -161,7 +164,7 @@ class _NodeMap:
     Keeps the historical ``graph.nodes`` surface working on top of the
     arena: iteration / membership / ``values()`` behave like the old
     ``Dict[int, Node]``; assignment adopts a node's attributes into
-    the arena at the given id (used by load paths and ZoomIn).
+    the arena at the given id (used by load paths).
     """
 
     __slots__ = ("_graph",)
@@ -595,8 +598,8 @@ class ProvenanceGraph:
                       value: Any = None) -> int:
         """(Re)insert a node at a *specific* id with no adjacency.
 
-        Used by the load paths (JSONL / SQLite) and ZoomIn restore;
-        node ids stay stable across removal + restore.  Rows between
+        Used by the load paths (JSONL / SQLite); node ids stay stable
+        across removal + restore.  Rows between
         the current high-water mark and ``node_id`` are padded dead.
         """
         self._check_mutable()
@@ -943,31 +946,41 @@ class ProvenanceGraph:
         doomed = set(node_ids)
         if not doomed:
             return  # no mutation, no version bump
-        for node_id in doomed:
-            self._require_node(node_id)
+        alive = self._alive
+        try:
+            valid = (min(doomed) >= 0 and max(doomed) < self._next_node_id
+                     and all(map(alive.__getitem__, doomed)))
+        except TypeError:
+            valid = False
+        if not valid:
+            for node_id in doomed:
+                self._require_node(node_id)
         self._sync()
         pred_views = self._pred_views
         succ_views = self._succ_views
         surviving_preds = set()
         surviving_succs = set()
         removed_edges = 0
+        inside = doomed.issuperset
         for node_id in doomed:
             operands = pred_views[node_id]
             removed_edges += len(operands)
-            for pred in operands:
-                if pred not in doomed:
-                    surviving_preds.add(pred)
-            for succ in succ_views[node_id]:
-                if succ not in doomed:
-                    surviving_succs.add(succ)
-                    removed_edges += 1
+            if not inside(operands):
+                for pred in operands:
+                    if pred not in doomed:
+                        surviving_preds.add(pred)
+            results = succ_views[node_id]
+            if not inside(results):
+                for succ in results:
+                    if succ not in doomed:
+                        surviving_succs.add(succ)
+                        removed_edges += 1
         for pred in surviving_preds:
             succ_views[pred] = tuple(succ for succ in succ_views[pred]
                                      if succ not in doomed)
         for succ in surviving_succs:
             pred_views[succ] = tuple(pred for pred in pred_views[succ]
                                      if pred not in doomed)
-        alive = self._alive
         for node_id in doomed:
             pred_views[node_id] = _EMPTY
             succ_views[node_id] = _EMPTY
@@ -975,6 +988,82 @@ class ProvenanceGraph:
         self._live_nodes -= len(doomed)
         self._edge_count -= removed_edges
         self._version += 1
+
+    def revive_nodes(self, node_ids: Sequence[int],
+                     preds: Sequence[Tuple[int, ...]],
+                     succs: Sequence[Tuple[int, ...]]) -> int:
+        """Bring rows back with the given adjacency — the inverse of
+        :meth:`remove_nodes`, and how ZoomIn restores a fragment.
+
+        ``preds[i]`` / ``succs[i]`` become the operand / result tuples
+        of ``node_ids[i]`` exactly (order and multiplicity kept), and
+        each neighbour outside ``node_ids`` gets the reverse entries
+        appended.  A row must be tombstoned — it comes back with the
+        column values removal kept — or alive with no edges yet (a row
+        just added).  Edges whose other end is not alive are dropped;
+        neighbour ids must be ids of this graph.  The edges are written
+        straight into the views, not the edge log, so removing and
+        reviving the same rows any number of times never grows the
+        log.  Returns the number of edges added.
+        """
+        self._check_mutable()
+        self._sync()
+        pred_views = self._pred_views
+        succ_views = self._succ_views
+        alive = self._alive
+        size = self._next_node_id
+        reviving = set(node_ids)
+        if len(reviving) != len(node_ids):
+            raise ProvenanceGraphError("revive_nodes: repeated node id")
+        for node_id in reviving:
+            if not (isinstance(node_id, int) and 0 <= node_id < size):
+                raise UnknownNodeError(node_id)
+            if pred_views[node_id] or succ_views[node_id]:
+                raise ProvenanceGraphError(
+                    f"node {node_id} already has edges")
+        for node_id in reviving:
+            if not alive[node_id]:
+                alive[node_id] = 1
+                self._live_nodes += 1
+        is_alive = alive.__getitem__
+        if not (all(map(is_alive, _chain(*preds)))
+                and all(map(is_alive, _chain(*succs)))):
+            # A neighbour died since the adjacency was recorded.
+            preds = [tuple(filter(is_alive, operands)) for operands in preds]
+            succs = [tuple(filter(is_alive, results)) for results in succs]
+        added = sum(map(len, preds))
+        # Reverse entries for surviving neighbours, batched so each
+        # neighbour's tuple is rebuilt once.
+        new_succs: Dict[int, List[int]] = {}
+        new_preds: Dict[int, List[int]] = {}
+        inside = reviving.issuperset
+        for node_id, operands, results in zip(node_ids, preds, succs):
+            pred_views[node_id] = operands
+            succ_views[node_id] = results
+            if not inside(operands):
+                for pred in operands:
+                    if pred not in reviving:
+                        bucket = new_succs.get(pred)
+                        if bucket is None:
+                            new_succs[pred] = [node_id]
+                        else:
+                            bucket.append(node_id)
+            if not inside(results):
+                for succ in results:
+                    if succ not in reviving:
+                        added += 1
+                        bucket = new_preds.get(succ)
+                        if bucket is None:
+                            new_preds[succ] = [node_id]
+                        else:
+                            bucket.append(node_id)
+        for pred, extra in new_succs.items():
+            succ_views[pred] = succ_views[pred] + tuple(extra)
+        for succ, extra in new_preds.items():
+            pred_views[succ] = pred_views[succ] + tuple(extra)
+        self._edge_count += added
+        self._version += 1
+        return added
 
     def copy(self) -> "ProvenanceGraph":
         """A deep copy (columns are copied; payload values shared).

@@ -14,14 +14,27 @@ part of the intermediate computation of an invocation of M iff some
 directed path reaches v from an input node, a state node, or another
 intermediate v-node of an invocation of M, with no output node on the
 path (including v itself).
+
+Both directions run on the graph's columnar arena, never on ``Node``
+facades.  ZoomOut finds the intermediate, state, base-tuple and
+VALUE-leaf nodes from the kind, invocation and aliveness columns and
+the adjacency views, and records them as a :class:`ZoomFragment`: the
+removed ids plus the operand / result tuples each had.  ZoomIn revives
+those tombstoned rows in place and writes the recorded adjacency back
+into the views (:meth:`ProvenanceGraph.revive_nodes`).  Each direction
+costs O(fragment) in Python — the removed nodes, their edges and the
+module's invocations — plus, for ZoomOut, C-level passes over the kind
+column and a scan of the invocation registry.  A zoom cycle grows
+neither the edge log nor, after the first, the node columns.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, List, Set, Tuple
 
 from ..errors import ZoomError
-from ..graph.nodes import Node, NodeKind
+from ..graph.nodes import KIND_CODE, NodeKind
 from ..graph.provgraph import ProvenanceGraph
 from .kernels import multi_source_reach
 
@@ -49,16 +62,25 @@ def intermediate_nodes(graph: ProvenanceGraph,
 
 
 class ZoomFragment:
-    """Everything ZoomOut removed for one module (for ZoomIn)."""
+    """Everything ZoomOut removed for one module (for ZoomIn).
 
-    __slots__ = ("module_name", "nodes", "edges", "zoom_nodes")
+    A fragment holds ids and adjacency only — no ``Node`` objects: the
+    removed rows stay tombstoned in the graph's arena with their column
+    values, so ZoomIn revives them in place.  ``preds[i]`` /
+    ``succs[i]`` are the operand / result tuples ``node_ids[i]`` had
+    when it was removed, boundary edges included; the tuples are the
+    ones the adjacency views held, shared rather than copied.
+    """
+
+    __slots__ = ("module_name", "node_ids", "preds", "succs", "zoom_nodes")
 
     def __init__(self, module_name: str):
         self.module_name = module_name
-        #: removed Node objects keyed by id
-        self.nodes: Dict[int, Node] = {}
-        #: removed edges (source, target) — includes boundary edges
-        self.edges: List[Tuple[int, int]] = []
+        #: removed node ids, ascending
+        self.node_ids: List[int] = []
+        #: each removed node's operand / result tuple at removal time
+        self.preds: List[Tuple[int, ...]] = []
+        self.succs: List[Tuple[int, ...]] = []
         #: zoom meta-node ids created, keyed by invocation id
         self.zoom_nodes: Dict[int, int] = {}
 
@@ -67,13 +89,23 @@ class Zoomer:
     """Applies ZoomOut / ZoomIn to a graph *in place*.
 
     The zoomer stashes removed fragments so that ZoomIn can restore
-    them exactly; fragments survive arbitrarily interleaved zoom
-    operations on other modules because node ids are stable.
+    them exactly; fragments survive arbitrarily nested zoom operations
+    on other modules because node ids are stable.
+
+    Both directions work on the graph's arena — kind, invocation and
+    aliveness columns plus the adjacency views — and never materialize
+    ``Node`` facades; their Python work is O(fragment) (see the module
+    docstring).  Each invocation's meta node keeps its row across zoom
+    cycles (ZoomIn tombstones it, the next ZoomOut revives it), and
+    every edge goes straight into the adjacency views, so repeated
+    zooming grows neither the node columns nor the edge log.
     """
 
     def __init__(self, graph: ProvenanceGraph):
         self.graph = graph
         self._fragments: Dict[str, ZoomFragment] = {}
+        #: module -> invocation id -> the row of its zoom meta node
+        self._zoom_rows: Dict[str, Dict[int, int]] = {}
 
     @property
     def zoomed_out_modules(self) -> Set[str]:
@@ -99,58 +131,64 @@ class Zoomer:
         graph = self.graph
         fragment = ZoomFragment(module_name)
         invocations = graph.invocations_of(module_name)
-        # Steps 1–3: find and remove intermediate computations.
+        adjacency = graph.csr()
+        pred_views = adjacency.pred_views
+        succ_views = adjacency.succ_views
+        alive = graph._alive
+        # Steps 1–3: find the intermediate computations.
         to_remove = intermediate_nodes(graph, [module_name])
-        # Step 4: remove state nodes, plus base tuple nodes that feed
-        # only state nodes of this module's invocations.
-        state_nodes: Set[int] = set()
-        for invocation in invocations:
-            state_nodes.update(node for node in invocation.state_nodes
-                               if graph.has_node(node))
-        base_candidates: Set[int] = set()
-        for state_node in state_nodes:
-            for pred in graph.preds(state_node):
-                if graph.node(pred).kind is NodeKind.TUPLE:
-                    base_candidates.add(pred)
-        removable_bases = {
-            base for base in base_candidates
-            if all(succ in state_nodes or succ in to_remove
-                   for succ in graph.succs(base))}
-        to_remove |= state_nodes | removable_bases
-        # Also sweep nodes of these invocations that become edgeless
-        # (shared VALUE leaves of aggregate computations).
-        invocation_ids = {invocation.invocation_id for invocation in invocations}
-        for node_id in list(graph.node_ids()):
-            node = graph.node(node_id)
-            if (node.invocation in invocation_ids
-                    and node.kind is NodeKind.VALUE
-                    and all(succ in to_remove for succ in graph.succs(node_id))):
-                to_remove.add(node_id)
+        # Step 4: state nodes, plus base tuple nodes that feed only
+        # state nodes and intermediates of this module's invocations.
+        state_nodes = {node for invocation in invocations
+                       for node in invocation.state_nodes if alive[node]}
+        to_remove |= state_nodes
+        kinds = graph._kind_codes
+        tuple_code = KIND_CODE[NodeKind.TUPLE]
+        bases = {pred for state_node in state_nodes
+                 for pred in pred_views[state_node]
+                 if kinds[pred] == tuple_code}
+        to_remove.update([base for base in bases
+                          if all(succ in to_remove
+                                 for succ in succ_views[base])])
+        # Also sweep this module's VALUE leaves whose every use goes
+        # (shared leaves of aggregate computations): a scan of the
+        # kind column's VALUE rows, in id order, so a leaf feeding a
+        # lower-numbered swept leaf goes too.
+        invocation_ids = {invocation.invocation_id
+                          for invocation in invocations}
+        owners = graph._invocation_ids
+        value_rows = graph.kind_flags((NodeKind.VALUE,))
+        row = value_rows.find(1)
+        while row >= 0:
+            if (alive[row] and owners[row] in invocation_ids
+                    and all(succ in to_remove for succ in succ_views[row])):
+                to_remove.add(row)
+            row = value_rows.find(1, row + 1)
         # Record and remove.
-        recorded_edges: Set[Tuple[int, int]] = set()
-        for node_id in to_remove:
-            if not graph.has_node(node_id):
-                continue
-            fragment.nodes[node_id] = graph.node(node_id)
-            for pred in graph.preds(node_id):
-                recorded_edges.add((pred, node_id))
-            for succ in graph.succs(node_id):
-                recorded_edges.add((node_id, succ))
-        fragment.edges = sorted(recorded_edges)
-        graph.remove_nodes([node_id for node_id in to_remove
-                            if graph.has_node(node_id)])
-        # Step 5: one zoom meta-node per invocation.
+        fragment.node_ids = sorted(to_remove)
+        fragment.preds = [pred_views[node] for node in fragment.node_ids]
+        fragment.succs = [succ_views[node] for node in fragment.node_ids]
+        graph.remove_nodes(fragment.node_ids)
+        # Step 5: one zoom meta-node per invocation, linked to the
+        # invocation's surviving inputs and outputs in one bulk call.
+        rows = self._zoom_rows.setdefault(module_name, {})
+        zoom_nodes = []
         for invocation in invocations:
-            zoom_node = graph.add_node(NodeKind.ZOOM, module_name, "p",
-                                       module=module_name,
-                                       invocation=invocation.invocation_id)
-            fragment.zoom_nodes[invocation.invocation_id] = zoom_node
-            for input_node in invocation.input_nodes:
-                if graph.has_node(input_node):
-                    graph.add_edge(input_node, zoom_node)
-            for output_node in invocation.output_nodes:
-                if graph.has_node(output_node):
-                    graph.add_edge(zoom_node, output_node)
+            invocation_id = invocation.invocation_id
+            zoom_node = rows.get(invocation_id)
+            if zoom_node is None or alive[zoom_node]:
+                zoom_node = graph.add_node(NodeKind.ZOOM, module_name, "p",
+                                           module=module_name,
+                                           invocation=invocation_id)
+                rows[invocation_id] = zoom_node
+            fragment.zoom_nodes[invocation_id] = zoom_node
+            zoom_nodes.append(zoom_node)
+        graph.revive_nodes(
+            zoom_nodes,
+            [tuple(node for node in invocation.input_nodes if alive[node])
+             for invocation in invocations],
+            [tuple(node for node in invocation.output_nodes if alive[node])
+             for invocation in invocations])
         self._fragments[module_name] = fragment
 
     # ------------------------------------------------------------------
@@ -173,11 +211,33 @@ class Zoomer:
         graph.remove_nodes([zoom_node
                             for zoom_node in fragment.zoom_nodes.values()
                             if graph.has_node(zoom_node)])
-        for node_id, node in fragment.nodes.items():
-            graph.nodes[node_id] = node
-        graph.add_edges((source, target)
-                        for source, target in fragment.edges
-                        if graph.has_node(source) and graph.has_node(target))
+        self._hand_over(fragment)
+        graph.revive_nodes(fragment.node_ids, fragment.preds, fragment.succs)
+
+    def _hand_over(self, fragment: ZoomFragment) -> None:
+        """Pass ``fragment``'s edges to nodes that another zoomed-out
+        module holds on to that module's fragment, so its ZoomIn
+        restores them.  Without this, zooming A out, B out, A in, B in
+        would lose the edge from a base tuple both modules' state reads
+        to A's state node (``revive_nodes`` drops edges to dead nodes).
+        """
+        is_alive = self.graph._alive.__getitem__
+        if (all(map(is_alive, chain(*fragment.preds)))
+                and all(map(is_alive, chain(*fragment.succs)))):
+            return
+        holders = {node: (other, position)
+                   for other in self._fragments.values()
+                   for position, node in enumerate(other.node_ids)}
+        for node, operands, results in zip(fragment.node_ids,
+                                           fragment.preds, fragment.succs):
+            for pred in operands:
+                if pred in holders and not is_alive(pred):
+                    other, position = holders[pred]
+                    other.succs[position] += (node,)
+            for succ in results:
+                if succ in holders and not is_alive(succ):
+                    other, position = holders[succ]
+                    other.preds[position] += (node,)
 
     # ------------------------------------------------------------------
     # Coarse view

@@ -232,9 +232,9 @@ class RunCatalog:
         self.store = store
         self.run_prefix = run_prefix
         # A service fronting the same store passes its ``invalidate``
-        # here so catalog-side deletes evict that run's cached
-        # artifacts (deleting + re-ingesting a run id must never
-        # serve the old graph out of the LRU).
+        # here so catalog-side writes (register, append, delete) evict
+        # that run's cached artifacts: a run must never be served out
+        # of the LRU as it was before the write.
         self._invalidate = invalidate
         self._naming_lock = threading.Lock()
         self._reserved: set = set()
@@ -261,12 +261,16 @@ class RunCatalog:
         """Store a full graph snapshot; auto-names the run if needed."""
         if run_id is None:
             run_id = self.new_run_id()
-        return self.store.put_graph(run_id, graph, source=source)
+        info = self.store.put_graph(run_id, graph, source=source)
+        self._written(run_id)
+        return info
 
     def append(self, run_id: str, graph: ProvenanceGraph,
                source: Optional[str] = None) -> RunInfo:
         """Incrementally persist a (grown) graph for an existing run."""
-        return self.store.append_graph(run_id, graph, source=source)
+        info = self.store.append_graph(run_id, graph, source=source)
+        self._written(run_id)
+        return info
 
     def ingest(self, path: Union[str, os.PathLike],
                run_id: Optional[str] = None) -> RunInfo:
@@ -278,10 +282,12 @@ class RunCatalog:
         if run_id is None:
             run_id = self.new_run_id()
         try:
-            return self.store.import_jsonl(run_id, path)
+            info = self.store.import_jsonl(run_id, path)
         except OSError as error:
             raise StoreIOError("ingest", path, run_id=run_id,
                                cause=error) from error
+        self._written(run_id)
+        return info
 
     def export(self, run_id: str, path: Union[str, os.PathLike]) -> int:
         try:
@@ -295,6 +301,11 @@ class RunCatalog:
 
     def delete(self, run_id: str) -> None:
         self.store.delete_run(run_id)
+        self._written(run_id)
+
+    def _written(self, run_id: str) -> None:
+        """The store now holds a different ``run_id``: evict what a
+        fronting service cached for it."""
         if self._invalidate is not None:
             self._invalidate(run_id)
 

@@ -148,11 +148,24 @@ def _row_bag(relation: Relation) -> Counter:
     return Counter(row.signature() for row in relation.rows)
 
 
-def _run_tracked(program, r_rows, s_rows):
-    builder = GraphBuilder()
-    builder.begin_invocation("Mfuzz")
+def _run_tracked(program, r_rows, s_rows, builder=None, module="Mfuzz",
+                 wire=None):
+    """Run ``program`` as one invocation of ``module``, on a fresh
+    builder unless one is given.
+
+    ``wire(builder, environment)``, when given, runs inside the
+    invocation before the program (to give the input rows provenance)
+    and may return a callable that gets the program's result before the
+    invocation ends (to register outputs).
+    """
+    builder = builder if builder is not None else GraphBuilder()
+    builder.begin_invocation(module)
+    environment = _environment(r_rows, s_rows)
+    finish = wire(builder, environment) if wire is not None else None
     interpreter = Interpreter(builder)
-    result = interpreter.execute(program, _environment(r_rows, s_rows))
+    result = interpreter.execute(program, environment)
+    if finish is not None:
+        finish(result)
     builder.end_invocation()
     return result, builder.graph
 

@@ -431,6 +431,44 @@ class TestProvenanceService:
         assert refreshed is not processor
         assert refreshed.graph is service.graph("a")
 
+    def test_catalog_append_evicts_cached_run(self, tmp_path):
+        """A run cached by the service answers from the grown graph
+        right after ``service.catalog.append``, with no manual
+        ``service.invalidate``."""
+        from repro.benchmark.dealerships import (
+            DealershipRun,
+            build_dealership_workflow,
+        )
+        workflow, modules = build_dealership_workflow()
+        lipstick = Lipstick()
+        run = DealershipRun(num_cars=60, num_exec=2, seed=0)
+        run.buyer.accept_probability = 0.0
+        state = run.initial_state(lipstick.executor(workflow, modules))
+        with SQLiteStore(tmp_path / "prov.db") as store:
+            service = ProvenanceService(store)
+            lipstick.run_sequence(workflow, modules, [run.input_batch(0)],
+                                  state=state)
+            service.catalog.register(lipstick.graph, run_id="r")
+            graph = lipstick.graph
+            probe = min(node.node_id
+                        for node in graph.nodes_of_kind(NodeKind.TUPLE))
+            service.graph("r")  # cache the one-execution run
+            first = service.descendants("r", probe)
+            assert set(first) == graph.descendants(probe)
+            lipstick.run_sequence(workflow, modules, [run.input_batch(1)],
+                                  state=state)
+            service.catalog.append("r", lipstick.graph)
+            grown = lipstick.graph.descendants(probe)
+            assert len(grown) > len(first)
+            assert set(service.descendants("r", probe)) == grown
+
+    def test_catalog_register_evicts_cached_run(self, service):
+        service.graph("run-b")
+        service.catalog.register(sample_graph(), run_id="run-b")
+        misses = service.cache_stats()["graphs"][1]
+        service.graph("run-b")
+        assert service.cache_stats()["graphs"][1] == misses + 1
+
     def test_invalidate(self, service):
         graph = service.graph("run-a")
         service.invalidate("run-a")
